@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-all test-faults test-chaos test-remote lint-tests bench-smoke bench-kernels bench-baseline bench-solves-smoke bench-solves-baseline bench-parallel-smoke bench-parallel-baseline bench-cold-smoke bench-cold-baseline bench-procs-smoke bench-procs-baseline
+.PHONY: test test-all test-faults test-chaos test-remote test-native lint-tests bench-smoke bench-kernels bench-baseline bench-solves-smoke bench-solves-baseline bench-parallel-smoke bench-parallel-baseline bench-cold-smoke bench-cold-baseline bench-procs-smoke bench-procs-baseline
 
 ## Tier-1 test suite (the CI gate): fast deterministic tests only
 ## (pytest.ini's addopts deselect the tier2 marker by default)
@@ -29,6 +29,11 @@ test-chaos:
 ## failover, and the tier-2 two-replica partition-chaos hammer
 test-remote:
 	$(PYTHON) -m pytest -q -m "tier1 or tier2" tests/test_remote.py
+
+## Compiled triangular solves: both tiers of the native-kernel suite (bit
+## identity vs the NumPy sweep and the oracle, fallbacks, build cache)
+test-native:
+	$(PYTHON) -m pytest -q -m "tier1 or tier2" tests/test_native_kernels.py
 
 ## Fail if any test file lacks a tier1/tier2 marker
 lint-tests:

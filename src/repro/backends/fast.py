@@ -12,9 +12,14 @@ passes:
   lays the chunked column-major storage out row-major; every matvec is then a
   single gather-multiply-``reduceat`` over all chunks at once instead of a
   Python loop per chunk.
-* **Triangular solve** precomputes the per-level gather indices/segment
-  offsets once per factor (the reference rebuilds them per solve) and streams
-  each level with three vectorized ops.
+* **Triangular solve** (``trsv``/``trsm``) runs the compiled C row sweep
+  of :mod:`repro.backends.native`: one call per solve over the factor's rows
+  in level order, bit-identical to the NumPy level sweep, serial for any
+  thread count, with the GIL released.  The NumPy level sweep is the
+  fallback (no compiler, no F16C, failed build or self-test): it precomputes
+  the per-level gather indices/segment offsets once per factor (the
+  reference rebuilds them per solve) and streams each level with three
+  vectorized ops, split across threads within a level when partitioned.
 * **FGMRES classical Gram-Schmidt** becomes BLAS-2: ``h = V[:j+1] @ w`` and a
   rank-1-style update ``w -= h @ V[:j+1]`` on the 2-D Krylov-basis workspace,
   replacing ``2(j+1)`` Python-level BLAS-1 calls per iteration.
@@ -75,7 +80,7 @@ from ..par.partition import (
 from ..par.pool import forced_threads
 from ..perf.counters import counters_enabled
 from ..precision import BYTES_PER_INDEX, Precision, as_precision, precision_of_dtype, promote
-from . import halfvec
+from . import halfvec, native
 from .base import (
     KernelBackend,
     ilu0_setup,
@@ -165,6 +170,10 @@ class FastBackend(KernelBackend):
     """Vectorized kernels with preallocated workspaces (the default engine)."""
 
     name = "fast"
+
+    def __init__(self) -> None:
+        # compiled trsv/trsm, built or loaded at the first triangular solve
+        self._native = native.Library(reference=self._sweep_levels)
 
     # ------------------------------------------------------------------ #
     def _csr_slabs(self, par, indptr, nt):
@@ -871,18 +880,25 @@ class FastBackend(KernelBackend):
             return None
         return levels
 
-    def trsv(self, factor, b, out_precision=None, record=True):
-        vec_prec = precision_of_dtype(b.dtype)
-        compute = promote(factor.precision, vec_prec)
-        out_prec = as_precision(out_precision) if out_precision is not None else vec_prec
-        cdtype = compute.dtype
+    def _sweep(self, factor, b, cdtype):
+        """``T x = b`` in ``cdtype`` for 1-D or 2-D ``b``: the compiled row
+        sweep when it is available, else the NumPy level sweep (same bits)."""
+        sweep = self._native.sweep(factor, cdtype)
+        if sweep is not None:
+            return sweep(b)
+        return self._sweep_levels(factor, b if b.dtype == cdtype else b.astype(cdtype))
 
+    def _sweep_levels(self, factor, b_c):
+        """The NumPy level sweep (``b_c`` already in the compute dtype)."""
+        if b_c.ndim == 1:
+            return self._trsv_levels(factor, b_c, b_c.dtype)
+        return self._trsm_levels(factor, b_c, b_c.dtype)
+
+    def _trsv_levels(self, factor, b_c, cdtype):
         plan, level_vals, level_inv = self._trsv_plan_and_vals(factor, cdtype)
         par_levels = self._trsv_par_levels(factor, plan, "trsv")
 
         x = np.zeros(factor.nrows, dtype=cdtype)
-        b_c = b if b.dtype == cdtype else b.astype(cdtype)
-
         for i, ((rows, gather_idx, gather_cols, red_offsets, nonempty), lv,
                 inv) in enumerate(zip(plan, level_vals, level_inv)):
             if par_levels is not None and par_levels[i] is not None:
@@ -899,20 +915,10 @@ class FastBackend(KernelBackend):
                 sums = np.zeros(rows.size, dtype=cdtype)
                 sums[nonempty] = np.add.reduceat(prods, red_offsets)
             x[rows] = (b_c[rows] - sums) * inv
+        return x
 
-        result = x.astype(out_prec.dtype, copy=False)
-        if record and counters_enabled():
-            self._record_trsv(factor, vec_prec, out_prec, compute)
-        return result
-
-    # ------------------------------------------------------------------ #
-    def trsm(self, factor, b, out_precision=None, record=True):
-        vec_prec = precision_of_dtype(b.dtype)
-        compute = promote(factor.precision, vec_prec)
-        out_prec = as_precision(out_precision) if out_precision is not None else vec_prec
-        cdtype = compute.dtype
-        k = b.shape[1]
-
+    def _trsm_levels(self, factor, b_c, cdtype):
+        k = b_c.shape[1]
         plan, level_vals, level_inv = self._trsv_plan_and_vals(factor, cdtype)
         par_levels = self._trsv_par_levels(factor, plan, "trsm")
 
@@ -920,8 +926,6 @@ class FastBackend(KernelBackend):
         # and Python overhead are amortized k-fold, and the gather/multiply/
         # reduceat run on (segment, k) blocks instead of k separate vectors.
         x = np.zeros((factor.nrows, k), dtype=cdtype)
-        b_c = b if b.dtype == cdtype else b.astype(cdtype)
-
         for i, ((rows, gather_idx, gather_cols, red_offsets, nonempty), lv,
                 inv) in enumerate(zip(plan, level_vals, level_inv)):
             if par_levels is not None and par_levels[i] is not None:
@@ -938,10 +942,31 @@ class FastBackend(KernelBackend):
                 sums = np.zeros((rows.size, k), dtype=cdtype)
                 sums[nonempty] = np.add.reduceat(prods, red_offsets)
             x[rows] = (b_c[rows] - sums) * inv[:, None]
+        return x
 
+    def native_status(self) -> dict:
+        """State of the compiled triangular solves: ``{"state", "reason",
+        "path"}`` (see :mod:`repro.backends.native`)."""
+        return self._native.status()
+
+    def trsv(self, factor, b, out_precision=None, record=True):
+        vec_prec = precision_of_dtype(b.dtype)
+        compute = promote(factor.precision, vec_prec)
+        out_prec = as_precision(out_precision) if out_precision is not None else vec_prec
+        x = self._sweep(factor, b, compute.dtype)
         result = x.astype(out_prec.dtype, copy=False)
         if record and counters_enabled():
-            self._record_trsm(factor, vec_prec, out_prec, compute, k)
+            self._record_trsv(factor, vec_prec, out_prec, compute)
+        return result
+
+    def trsm(self, factor, b, out_precision=None, record=True):
+        vec_prec = precision_of_dtype(b.dtype)
+        compute = promote(factor.precision, vec_prec)
+        out_prec = as_precision(out_precision) if out_precision is not None else vec_prec
+        x = self._sweep(factor, b, compute.dtype)
+        result = x.astype(out_prec.dtype, copy=False)
+        if record and counters_enabled():
+            self._record_trsm(factor, vec_prec, out_prec, compute, b.shape[1])
         return result
 
     # ------------------------------------------------------------------ #

@@ -93,7 +93,6 @@ class RichardsonLevel(InnerSolver):
         self.weights = np.full(self.m, float(weight), dtype=np.float64)
         self.call_count = 0          # cntr in Algorithm 1 (number of completed calls)
         self.update_count = 0        # l in Eq. (5)
-        self.weight_history: list[np.ndarray] = []
         # compiled plans (per backend) and fused-sweep scratch (per thread)
         self._plans: dict[str, tuple] = {}
         self._workspace = ThreadLocalWorkspace()
@@ -112,7 +111,6 @@ class RichardsonLevel(InnerSolver):
         self.weights.fill(1.0)
         self.call_count = 0
         self.update_count = 0
-        self.weight_history.clear()
 
     def _level_plans(self):
         """``(level plan, weight-precision plan)`` on the active backend,
@@ -182,7 +180,6 @@ class RichardsonLevel(InnerSolver):
 
         if refresh:
             self.update_count += 1
-            self.weight_history.append(self.weights.copy())
         self.call_count = cntr
         return z
 
@@ -253,7 +250,6 @@ class RichardsonLevel(InnerSolver):
 
         if refresh:
             self.update_count += 1
-            self.weight_history.append(self.weights.copy())
         self.call_count = cntr_end
         return z
 

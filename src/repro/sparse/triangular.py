@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..backends import get_backend
+from ..backends.native import NativeCache
 from ..backends.workspace import ScratchOwner
 from ..precision import Precision, as_precision, precision_of_dtype
 from .csr import CSRMatrix
@@ -221,10 +222,11 @@ class TriangularFactor(ScratchOwner):
         self.inv_diag = np.where(diag != 0.0, 1.0 / np.where(diag == 0.0, 1.0, diag), 0.0)
         self.precision = precision_of_dtype(values.dtype)
         # fast-backend caches: per-level gather plan (layout-only, shared by
-        # astype copies), per-dtype gathered off-diagonal values, and
-        # per-thread scratch buffers
+        # astype copies), per-dtype gathered off-diagonal values, per-dtype
+        # native sweeps (empty after pickling), and per-thread scratch buffers
         self._fast_plan: list | None = None
         self._fast_vals: dict = {}
+        self._native = NativeCache()
         self._scratch = None
         self._par = None          # repro.par.ParState (partitions + verdicts)
 
@@ -253,6 +255,7 @@ class TriangularFactor(ScratchOwner):
         out.precision = p
         out._fast_plan = self._fast_plan   # gather plan is layout-only: share it
         out._fast_vals = {}                # value-dependent: per instance
+        out._native = self._native.shared()
         out._scratch = None
         out._par = None
         return out
@@ -353,6 +356,7 @@ def fuse_block_diagonal(factors: list[TriangularFactor]) -> TriangularFactor:
         out.levels = np.split(rows_sorted, np.cumsum(merged_sizes)[:-1])
     out._fast_plan = None
     out._fast_vals = {}
+    out._native = NativeCache()
     out._scratch = None
     out._par = None
     return out

@@ -18,6 +18,7 @@ Two suite-wide conventions live here:
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ settings.register_profile("ci", deadline=None, derandomize=True, max_examples=15
                           database=None, print_blob=False)
 settings.load_profile("ci" if os.environ.get("CI", "") == "1" else "dev")
 
+from repro.backends import get_backend
+from repro.backends.native import Library
 from repro.matgen import (
     hpcg_matrix,
     hpgmp_matrix,
@@ -103,3 +106,22 @@ def nonsym_precond(nonsym_matrix):
 @pytest.fixture()
 def jacobi_precond(dd_matrix):
     return JacobiPreconditioner(dd_matrix)
+
+
+@contextmanager
+def native_forced_off():
+    """Run the ``fast`` engine's triangular solves on its NumPy level sweep
+    (the fallback of the compiled row sweep) for the duration."""
+    backend = get_backend("fast")
+    saved = backend._native
+    backend._native = Library._forced_off()
+    try:
+        yield
+    finally:
+        backend._native = saved
+
+
+@pytest.fixture()
+def native_off():
+    with native_forced_off():
+        yield

@@ -32,6 +32,8 @@ from repro.precision import Precision
 from repro.solvers import RestartedFGMRES, fgmres_cycle
 from repro.sparse import COOMatrix, CSRMatrix, SlicedEllMatrix, TriangularFactor
 
+from conftest import native_forced_off
+
 pytestmark = pytest.mark.tier1
 
 # hypothesis sweeps ride in tier 2; under CI=1 the example budget comes from
@@ -180,7 +182,9 @@ class TestTrsvEquivalence:
                                    4 * np.eye(5))
         factor = TriangularFactor(csr, lower=True)
         b = np.arange(1.0, 6.0)
-        with use_backend("fast"):
+        # the level plan belongs to the NumPy sweep, the compiled sweep's
+        # fallback (its own layout sharing: tests/test_native_kernels.py)
+        with use_backend("fast"), native_forced_off():
             factor.solve(b, record=False)
             plan = factor._fast_plan
             assert plan is not None

@@ -106,9 +106,8 @@ class TestKernelBitIdentity:
         assert np.array_equal(y1, y)
         assert np.array_equal(yb1, yb)
 
-    @pytest.mark.parametrize("threads", THREADS)
-    @pytest.mark.parametrize("precision", ["fp64", "fp16"])
-    def test_trsv_trsm_within_level(self, rng, threads, precision):
+    @staticmethod
+    def _check_trsv_trsm_within_level(rng, threads, precision):
         lower, upper = get_backend().ilu0_factor(hpgmp_matrix(7))
         factors = [TriangularFactor(lower, lower=True, unit_diagonal=True),
                    TriangularFactor(upper, lower=False)]
@@ -123,6 +122,19 @@ class TestKernelBitIdentity:
                 x, xb = factor.solve(b), factor.solve_batch(bb)
             assert np.array_equal(x1, x)
             assert np.array_equal(xb1, xb)
+
+    @pytest.mark.parametrize("threads", THREADS)
+    @pytest.mark.parametrize("precision", ["fp64", "fp16"])
+    def test_trsv_trsm_within_level(self, rng, threads, precision):
+        self._check_trsv_trsm_within_level(rng, threads, precision)
+
+    @pytest.mark.parametrize("threads", THREADS)
+    @pytest.mark.parametrize("precision", ["fp64", "fp16"])
+    def test_trsv_trsm_within_level_numpy_fallback(self, rng, threads,
+                                                   precision, native_off):
+        """The partitioned level sweep is the fallback's parallel path; the
+        compiled sweep (serial for any thread count) would bypass it."""
+        self._check_trsv_trsm_within_level(rng, threads, precision)
 
     @pytest.mark.parametrize("threads", THREADS)
     @pytest.mark.parametrize("dtype", [np.float64, np.float16])

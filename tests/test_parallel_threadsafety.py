@@ -121,6 +121,37 @@ class TestConcurrentKernels:
 
         _hammer(work)
 
+    @pytest.mark.parametrize("precision", ["fp16", "fp64"])
+    def test_one_factor_native_sweeps_from_four_threads(self, precision):
+        """Four threads race the first native solves of one factor (its
+        layout and per-dtype cache builds) and keep solving while the
+        interpreter switches threads every few microseconds; every result
+        is bit-identical to the serial one from an identical factor."""
+        import sys
+
+        from repro.backends import get_backend
+
+        lower, _ = get_backend().ilu0_factor(hpgmp_matrix(6))
+        fresh = TriangularFactor(lower, lower=True, unit_diagonal=True)
+        factor = fresh.astype(precision)
+        serial = fresh.astype(precision)
+        rng = np.random.default_rng(10)
+        b = rng.uniform(-1, 1, factor.nrows).astype(factor.precision.dtype)
+        bb = rng.uniform(-1, 1, (factor.nrows, 3)).astype(b.dtype)
+        want, want_batch = serial.solve(b), serial.solve_batch(bb)
+
+        def work(i):
+            for _ in range(4 * ROUNDS):
+                assert np.array_equal(factor.solve(b), want)
+                assert np.array_equal(factor.solve_batch(bb), want_batch)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _hammer(work)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_worker_arenas_are_distinct(self):
         """Partition workers must never share a slab arena instance."""
         from repro.par.kernels import slab_workspace

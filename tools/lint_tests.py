@@ -59,6 +59,9 @@ REQUIRED_MODULES = (
                                        # faults, reconnect + replay, dedup,
                                        # hedging, failover, the tier-2
                                        # cluster chaos hammer (PR 10)
+    "test_native*.py",                 # compiled trsv/trsm: bit identity with
+                                       # the NumPy sweep and the oracle,
+                                       # fallbacks, build cache
 )
 
 
