@@ -49,12 +49,9 @@ from .operators import (
     as_operator,
 )
 from .par import (
-    configured_procs,
     configured_threads,
     pool_stats,
-    set_procs,
     set_threads,
-    use_procs,
     use_threads,
 )
 from .plans import (
@@ -67,25 +64,6 @@ from .plans import (
 )
 from .precision import Precision
 from .precond import make_primary_preconditioner
-from .serve import (
-    AdmissionRefused,
-    BatchDispatcher,
-    BrownoutConfig,
-    BrownoutController,
-    BrownoutTransition,
-    CircuitOpen,
-    ClusterConfig,
-    ClusterGateway,
-    DeadlineExceeded,
-    DispatcherClosed,
-    LoadShed,
-    RemoteShard,
-    ShardServer,
-    ShardUnreachable,
-    ShardedGateway,
-    overload_enabled,
-    render_metrics,
-)
 from .solvers import (
     BatchSolveResult,
     BiCGStab,
@@ -105,6 +83,32 @@ from .solvers import (
 from .sparse import CSRMatrix
 
 __version__ = "1.0.0"
+
+#: the serving and process tiers' exports, resolved on first access (PEP 562):
+#: ``from repro import F3RSolver`` loads no multiprocessing, socket or shared
+#: memory module
+_LAZY = {
+    **dict.fromkeys(("configured_procs", "set_procs", "use_procs"), "par"),
+    **dict.fromkeys((
+        "AdmissionRefused", "BatchDispatcher", "BrownoutConfig",
+        "BrownoutController", "BrownoutTransition", "CircuitOpen",
+        "ClusterConfig", "ClusterGateway", "DeadlineExceeded",
+        "DispatcherClosed", "LoadShed", "RemoteShard", "ShardServer",
+        "ShardUnreachable", "ShardedGateway", "overload_enabled",
+        "render_metrics"), "serve"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 # Opt-in fault injection: importing repro.faults installs the env-configured
 # plan; without REPRO_FAULTS the subsystem is never imported from here.

@@ -320,6 +320,20 @@ class KernelBackend(abc.ABC):
 
         return vo.axpy(omega, mr, z, out_precision=vec_prec, record=record)
 
+    def weighted_update_batch(self, z: np.ndarray, mr: np.ndarray, omega,
+                              vec_prec: Precision, scratch=None,
+                              record: bool = True) -> np.ndarray:
+        """Batched Richardson update ``z[:, j] + ω_j·mr[:, j]``: one weight
+        per column, rounded to the level dtype, arithmetic in that dtype
+        (counter parity with ``k`` single updates)."""
+        dtype = vec_prec.dtype
+        result = (np.asarray(omega).astype(dtype)[None, :] * mr + z).astype(
+            dtype, copy=False)
+        if record:
+            self._record_axpy(vec_prec, vec_prec, vec_prec, vec_prec,
+                              mr.shape[0], mr.shape[1])
+        return result
+
     def orthonormalize(self, basis: np.ndarray, j: int, w: np.ndarray,
                        vec_prec: Precision, scratch=None, record: bool = True):
         """Fused CGS orthogonalize-normalize step.

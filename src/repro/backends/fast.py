@@ -5,9 +5,15 @@ the promoted precision, results rounded to the requested output precision —
 but with the remaining Python-level loops replaced by single vectorized
 passes:
 
-* **CSR SpMV** reuses a per-matrix gather/product buffer and a cached cast of
-  the value array per compute dtype (one ``values.astype`` for the lifetime of
-  the matrix instead of one per call).
+* **CSR products and fused residuals** (``spmv_csr``, ``spmm_csr``,
+  ``spmv_axpy``, ``spmm_axpy``) run the compiled C kernels of
+  :mod:`repro.backends.native` over a row range, built or loaded at the
+  first CSR product or triangular solve: fp32/fp64 in scipy's
+  ``csr_matvec``/``csr_matvecs`` order, fp16 with the staged path's bits
+  (half products, reduceat row sums, ``RND(y − sum)`` for the residual).
+  The fallback (no usable library) is scipy's compiled matvec for
+  fp32/fp64, imported on first use, and the staged fp16 gather-multiply
+  with a cached per-matrix value cast and product buffer.
 * **Sliced-ELLPACK SpMV** precomputes, once per matrix, a permutation that
   lays the chunked column-major storage out row-major; every matvec is then a
   single gather-multiply-``reduceat`` over all chunks at once instead of a
@@ -20,6 +26,11 @@ passes:
   the per-level gather indices/segment offsets once per factor (the
   reference rebuilds them per solve) and streams each level with three
   vectorized ops, split across threads within a level when partitioned.
+* **fp16 vector updates** (``residual_update``, ``weighted_update``,
+  ``weighted_update_batch``) run compiled ``RND(v − az)`` and
+  ``RND(RND(ω·x) + y)`` loops once a product or solve has loaded the
+  library (they never start a build), else the staged paths of
+  :mod:`repro.backends.halfvec`.
 * **FGMRES classical Gram-Schmidt** becomes BLAS-2: ``h = V[:j+1] @ w`` and a
   rank-1-style update ``w -= h @ V[:j+1]`` on the 2-D Krylov-basis workspace,
   replacing ``2(j+1)`` Python-level BLAS-1 calls per iteration.
@@ -29,9 +40,9 @@ passes:
   scattering into size-``n`` pattern/work arrays for every row.
 * **Batched multi-RHS kernels** (``spmm_csr``, ``spmm_ell``, ``trsm``) stream
   the matrix / the level schedule once over all ``k`` right-hand sides —
-  scipy's compiled CSR SpMM for fp32/fp64, gather-multiply-``reduceat`` on
-  ``(segment, k)`` blocks otherwise — instead of looping the single-RHS
-  kernels column by column as the base-class oracle does.
+  the compiled kernels for CSR and triangular factors, gather-multiply-
+  ``reduceat`` on ``(segment, k)`` blocks otherwise — instead of looping
+  the single-RHS kernels column by column as the base-class oracle does.
 
 Counter totals (bytes, flops, kernel calls) are identical to the reference;
 they are recorded in one batched call per logical group, and skipped entirely
@@ -40,9 +51,9 @@ when :func:`repro.perf.counters.counters_enabled` is off.
 **Thread-parallel execution** (:mod:`repro.par`): the CSR/ELL products, the
 fused residuals, the stencil sweeps and the within-level triangular solves
 each carry a partitioned variant that fans nnz-balanced row slabs across
-the worker pool — same sub-path family (scipy compiled / staged fp16 /
-generic gather) and exactly the serial per-row arithmetic, so results are
-bit-identical for every thread count.  Workspace discipline under
+the worker pool — same sub-path family (native / scipy compiled / staged
+fp16 / generic gather) and exactly the serial per-row arithmetic, so results
+are bit-identical for every thread count.  Workspace discipline under
 partitioning (the PR-5 thread-safety audit):
 
 * a partition worker never touches the caller's arena — its temporaries
@@ -90,24 +101,34 @@ from .base import (
     spmv_setup,
 )
 
-try:  # pragma: no cover - scipy ships with the test environment
-    import scipy.sparse as _scipy_sparse
-except ImportError:  # pragma: no cover
-    _scipy_sparse = None
-
-try:  # pragma: no cover - private but stable; guarded with a compose fallback
-    from scipy.sparse import _sparsetools as _scipy_sparsetools
-except ImportError:  # pragma: no cover
-    _scipy_sparsetools = None
-
 __all__ = ["FastBackend"]
 
 _HALF = halfvec.HALF
 _STAGE = halfvec.STAGE
 
-#: compute dtypes scipy's compiled CSR matvec handles natively without
-#: changing the emulated accumulation precision (fp16 would be upcast)
+#: compute dtypes with a compiled CSR product in the compute dtype (native,
+#: or scipy's as the fallback); fp16 would be upcast by scipy
 _SCIPY_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+_SCIPY: tuple | None = None
+
+
+def _scipy() -> tuple:
+    """``(scipy.sparse, scipy.sparse._sparsetools)`` for the fallback paths,
+    imported on first use (``(None, None)`` without scipy): a process whose
+    native kernels are ready never loads scipy."""
+    global _SCIPY
+    if _SCIPY is None:
+        try:  # pragma: no cover - scipy ships with the test environment
+            import scipy.sparse as sparse
+        except ImportError:  # pragma: no cover
+            sparse = None
+        try:  # pragma: no cover - private but stable; guarded with a compose fallback
+            from scipy.sparse import _sparsetools as sparsetools
+        except ImportError:  # pragma: no cover
+            sparsetools = None
+        _SCIPY = (sparse, sparsetools)
+    return _SCIPY
 
 
 def _build_ell_plan(ell) -> dict:
@@ -172,13 +193,35 @@ class FastBackend(KernelBackend):
     name = "fast"
 
     def __init__(self) -> None:
-        # compiled trsv/trsm, built or loaded at the first triangular solve
+        # compiled kernels, built or loaded at the first triangular solve
+        # or CSR product
         self._native = native.Library(reference=self._sweep_levels)
 
     # ------------------------------------------------------------------ #
     def _csr_slabs(self, par, indptr, nt):
         """The matrix's nnz-balanced row slabs for ``nt`` threads (cached)."""
         return par.partition(("csr", nt), lambda: csr_partition(indptr, nt))
+
+    def _native_csr(self, values, indices, indptr, cdtype, scratch):
+        """The matrix's compiled CSR product in ``cdtype``, or ``None`` for
+        the NumPy/scipy paths: no arena, non-int32 indices, fp16 with the
+        staged paths switched off, or no usable library."""
+        if (scratch is None or indices.dtype != np.int32
+                or indptr.dtype != np.int32
+                or (cdtype == _HALF and not halfvec.staged_half_enabled())):
+            return None
+        return self._native.csr(values, indices, indptr, cdtype, scratch)
+
+    def _run_native_csr(self, product, x_c, y, par, indptr, nt):
+        """``A·x`` (``y`` None) or ``y − A·x`` through ``product``, one
+        kernel call per row slab when ``nt > 1`` (same bits per row)."""
+        x_c, y, out = product.operands(x_c, y)
+        if nt > 1:
+            par_kernels.native_csr_slabs(product, x_c, y, out,
+                                         self._csr_slabs(par, indptr, nt))
+        else:
+            product.rows(0, product.nrows, x_c, y, out)
+        return out
 
     def _spmv_csr_slabbed(self, values, indices, indptr, x_c, cdtype, n,
                           scratch, par, nt):
@@ -187,7 +230,7 @@ class FastBackend(KernelBackend):
         per slab, so every output row is computed exactly as serially."""
         slabs = self._csr_slabs(par, indptr, nt)
         y = np.zeros(n, dtype=cdtype)
-        if _scipy_sparse is not None and np.dtype(cdtype) in _SCIPY_DTYPES:
+        if _scipy()[1] is not None and np.dtype(cdtype) in _SCIPY_DTYPES:
             vals_c = scratch.cast("csr_values", values, cdtype)
             par_kernels.csr_matvec_slabs(x_c.size, vals_c, indices, y, x_c, slabs)
         elif np.dtype(cdtype) == _HALF and halfvec.staged_half_enabled():
@@ -213,28 +256,25 @@ class FastBackend(KernelBackend):
 
         nt = (kernel_threads("spmv", nnz, par, rows=n)
               if par is not None and scratch is not None else 1)
-        if (nt > 1 and np.dtype(cdtype) in _SCIPY_DTYPES
-                and _scipy_sparsetools is None):
-            nt = 1          # can't partition the compiled path; stay serial
-        if nt > 1:
+        product = self._native_csr(values, indices, indptr, cdtype, scratch)
+        if product is not None:
+            # compiled row loop: scipy's order for fp32/fp64, the staged
+            # fp16 path's bits for fp16
+            y = self._run_native_csr(product, x_c, None, par, indptr, nt)
+        elif nt > 1 and (np.dtype(cdtype) not in _SCIPY_DTYPES
+                         or _scipy()[1] is not None):
             y = self._spmv_csr_slabbed(values, indices, indptr, x_c, cdtype, n,
                                        scratch, par, nt)
-            y = y.astype(out_prec.dtype, copy=False)
-            if record and counters_enabled():
-                self._record_spmv(mat_prec, vec_prec, out_prec, compute, n, nnz,
-                                  nnz * BYTES_PER_INDEX + (n + 1) * BYTES_PER_INDEX)
-            return y
-
-        if (scratch is not None and _scipy_sparse is not None
-                and np.dtype(cdtype) in _SCIPY_DTYPES):
+        elif (scratch is not None and np.dtype(cdtype) in _SCIPY_DTYPES
+                and _scipy()[0] is not None):
             # scipy's compiled csr matvec: one fused pass, no product array.
             # Accumulation runs in the compute dtype exactly like the reference
             # (fused multiply-adds may differ in the last ulp).
             vals_c = scratch.cast("csr_values", values, cdtype)
             sp_mat = scratch.memo(
                 ("scipy_csr", np.dtype(cdtype)),
-                lambda: _scipy_sparse.csr_matrix((vals_c, indices, indptr),
-                                                 shape=(n, x.size)))
+                lambda: _scipy()[0].csr_matrix((vals_c, indices, indptr),
+                                               shape=(n, x.size)))
             y = sp_mat @ x_c
         else:
             if (scratch is not None and np.dtype(cdtype) == _HALF
@@ -276,7 +316,7 @@ class FastBackend(KernelBackend):
         """Thread-parallel CSR SpMM (slab analogue of the serial paths)."""
         slabs = self._csr_slabs(par, indptr, nt)
         y = np.zeros((n, k), dtype=cdtype)
-        if _scipy_sparse is not None and np.dtype(cdtype) in _SCIPY_DTYPES:
+        if _scipy()[1] is not None and np.dtype(cdtype) in _SCIPY_DTYPES:
             vals_c = scratch.cast("csr_values", values, cdtype)
             par_kernels.csr_matvecs_slabs(x_c.shape[0], k, vals_c, indices, y,
                                           np.ascontiguousarray(x_c), slabs)
@@ -303,27 +343,22 @@ class FastBackend(KernelBackend):
 
         nt = (kernel_threads("spmm", nnz, par, rows=n)
               if par is not None and scratch is not None else 1)
-        if (nt > 1 and np.dtype(cdtype) in _SCIPY_DTYPES
-                and _scipy_sparsetools is None):
-            nt = 1
-        if nt > 1:
+        product = self._native_csr(values, indices, indptr, cdtype, scratch)
+        if product is not None:
+            y = self._run_native_csr(product, x_c, None, par, indptr, nt)
+        elif nt > 1 and (np.dtype(cdtype) not in _SCIPY_DTYPES
+                         or _scipy()[1] is not None):
             y = self._spmm_csr_slabbed(values, indices, indptr, x_c, cdtype, n,
                                        k, scratch, par, nt)
-            y = y.astype(out_prec.dtype, copy=False)
-            if record and counters_enabled():
-                self._record_spmm(mat_prec, vec_prec, out_prec, compute, n, nnz,
-                                  nnz * BYTES_PER_INDEX + (n + 1) * BYTES_PER_INDEX, k)
-            return y
-
-        if (scratch is not None and _scipy_sparse is not None
-                and np.dtype(cdtype) in _SCIPY_DTYPES):
+        elif (scratch is not None and np.dtype(cdtype) in _SCIPY_DTYPES
+                and _scipy()[0] is not None):
             # BLAS-3 shape: scipy's compiled CSR SpMM streams the matrix once
             # over all k columns.
             vals_c = scratch.cast("csr_values", values, cdtype)
             sp_mat = scratch.memo(
                 ("scipy_csr", np.dtype(cdtype)),
-                lambda: _scipy_sparse.csr_matrix((vals_c, indices, indptr),
-                                                 shape=(n, x.shape[0])))
+                lambda: _scipy()[0].csr_matrix((vals_c, indices, indptr),
+                                               shape=(n, x.shape[0])))
             y = sp_mat @ np.ascontiguousarray(x_c)
         elif (scratch is not None and np.dtype(cdtype) == _HALF
                 and halfvec.staged_half_enabled()):
@@ -826,8 +861,9 @@ class FastBackend(KernelBackend):
 
     # ------------------------------------------------------------------ #
     def preferred_assembled_format(self, precision):
-        """Pin CSR when scipy's compiled matvec/SpMM handles the dtype —
-        the fused CSR pass beats the ELL gather path regardless of padding."""
+        """Pin CSR for fp32/fp64, which have a compiled CSR product in the
+        compute dtype (native, or scipy's as the fallback) — the fused CSR
+        pass beats the ELL gather path regardless of padding."""
         return "csr" if np.dtype(precision.dtype) in _SCIPY_DTYPES else None
 
     # ------------------------------------------------------------------ #
@@ -945,8 +981,8 @@ class FastBackend(KernelBackend):
         return x
 
     def native_status(self) -> dict:
-        """State of the compiled triangular solves: ``{"state", "reason",
-        "path"}`` (see :mod:`repro.backends.native`)."""
+        """State of the compiled kernels: ``{"state", "reason", "path"}``
+        (see :mod:`repro.backends.native`)."""
         return self._native.status()
 
     def trsv(self, factor, b, out_precision=None, record=True):
@@ -1058,7 +1094,22 @@ class FastBackend(KernelBackend):
         staged = (np.dtype(cdtype) == _HALF and halfvec.staged_half_enabled()
                   and out_prec.dtype == _HALF)
         nt = kernel_threads("axpy", v.size, None, rows=v.shape[0])
-        if nt > 1:
+        updates = self._native.updates if staged else None
+        if updates is not None:
+            # compiled RND(v − az) over the flat elements (row spans when
+            # partitioned: the rounding is per element)
+            v = np.ascontiguousarray(v)
+            az = np.ascontiguousarray(az)
+            r = np.empty(v.shape, dtype=_HALF)
+            tail = v.size // v.shape[0] if v.shape[0] else 1
+            if nt > 1:
+                par_kernels.run_spans(
+                    span_partition(v.shape[0], nt),
+                    lambda lo, hi: native.sub_f16(updates[1], v, az, r,
+                                                  lo * tail, hi * tail))
+            else:
+                native.sub_f16(updates[1], v, az, r)
+        elif nt > 1:
             r = self._residual_update_spans(v, az, cdtype, out_prec, staged, nt)
         elif staged:
             # v − az == (−1)·az + v bitwise (negation is exact, addition is
@@ -1093,7 +1144,11 @@ class FastBackend(KernelBackend):
         compute = promote(pz, pm)
         if (np.dtype(compute.dtype) == _HALF and halfvec.staged_half_enabled()
                 and np.dtype(dtype) == _HALF):
-            result = halfvec.staged_axpy(omega, mr, z, scratch=scratch)
+            updates = self._native.updates
+            if updates is not None:
+                result = self._half_axpy(updates, np.float16(omega), mr, z)
+            else:
+                result = halfvec.staged_axpy(omega, mr, z, scratch=scratch)
         else:
             # in-place consume of z when dtypes line up (the documented
             # contract); same operation order as vo.axpy
@@ -1115,89 +1170,113 @@ class FastBackend(KernelBackend):
             self._record_axpy(pm, pz, vec_prec, compute, mr.size)
         return result
 
-    def spmv_axpy(self, values, indices, indptr, x, y, out_precision=None,
-                  record=True, scratch=None, par=None):
-        mat_prec, vec_prec, compute, out_prec = spmv_setup(values.dtype, x.dtype,
-                                                           out_precision)
-        cdtype = compute.dtype
-        n = indptr.size - 1
-        nnz = values.size
-        fusable = (scratch is not None and _scipy_sparse is not None
-                   and _scipy_sparsetools is not None
-                   and np.dtype(cdtype) in _SCIPY_DTYPES
-                   and out_prec.dtype == np.dtype(cdtype)
-                   and y.dtype == np.dtype(cdtype)
-                   and indptr.dtype == indices.dtype)
-        if not fusable:
-            # compose (the oracle order); both halves use their own fast
-            # paths — including their partitioned variants
-            ax = self.spmv_csr(values, indices, indptr, x,
-                               out_precision=out_precision, record=record,
-                               scratch=scratch, par=par)
-            return self.residual_update(y, ax, out_precision=out_precision,
-                                        record=record, scratch=scratch)
-        # one pass: r starts as a copy of y and scipy's compiled matvec
-        # accumulates (−A)·x into it — no intermediate product vector.
-        # Negated values are exact, so each row contributes −Σ aᵢⱼxⱼ with the
-        # usual reordering-tolerance agreement.
-        vals_c = scratch.cast("csr_values", values, cdtype)
-        neg_vals = scratch.memo(("csr_values_neg", np.dtype(cdtype)),
-                                lambda: -vals_c)
-        x_c = x if x.dtype == cdtype else x.astype(cdtype)
-        r = y.astype(cdtype, order="C", copy=True)
-        nt = kernel_threads("spmv", nnz, par, rows=n) if par is not None else 1
-        if nt > 1:
-            # same compiled accumulation per row slab (r rows are disjoint)
-            par_kernels.csr_matvec_slabs(x.size, neg_vals, indices, r, x_c,
-                                         self._csr_slabs(par, indptr, nt))
-        else:
-            _scipy_sparsetools.csr_matvec(n, x.size, indptr, indices, neg_vals,
-                                          x_c, r)
-        if record and counters_enabled():
-            self._record_spmv(mat_prec, vec_prec, out_prec, compute, n, nnz,
-                              nnz * BYTES_PER_INDEX + (n + 1) * BYTES_PER_INDEX)
-            self._record_axpy(out_prec, precision_of_dtype(y.dtype), out_prec,
-                              promote(out_prec, precision_of_dtype(y.dtype)), n)
-        return r
+    @staticmethod
+    def _half_axpy(updates, w16, mr, z):
+        """``RND(RND(w·mr) + z)`` into a fresh fp16 array (compiled)."""
+        mr, z = np.ascontiguousarray(mr), np.ascontiguousarray(z)
+        result = np.empty(mr.shape, dtype=_HALF)
+        native.axpy_f16(updates[0], w16, mr, z, result)
+        return result
 
-    def spmm_axpy(self, values, indices, indptr, x, y, out_precision=None,
-                  record=True, scratch=None, par=None):
+    def weighted_update_batch(self, z, mr, omega, vec_prec: Precision,
+                              scratch=None, record=True):
+        dtype = np.dtype(vec_prec.dtype)
+        updates = (self._native.updates
+                   if dtype == z.dtype == mr.dtype == _HALF
+                   and halfvec.staged_half_enabled() else None)
+        if updates is None:
+            return super().weighted_update_batch(z, mr, omega, vec_prec,
+                                                 scratch=scratch, record=record)
+        # one weight per column, the single-RHS update's kernel
+        result = self._half_axpy(updates, np.asarray(omega).astype(_HALF), mr, z)
+        if record:
+            self._record_axpy(vec_prec, vec_prec, vec_prec, vec_prec,
+                              mr.shape[0], mr.shape[1])
+        return result
+
+    def _csr_residual(self, values, indices, indptr, x, y, out_precision,
+                      record, scratch, par, batched):
+        """The fused ``r = y − A·x`` of :meth:`spmv_axpy` (1-D) and
+        :meth:`spmm_axpy` (``batched``, ``(n, k)`` blocks).
+
+        When the product's, ``y``'s and the output's dtypes agree it runs in
+        one pass: the compiled kernel (fp32/fp64 in scipy's fused order,
+        ``r = y`` plus the negated products; fp16 ``RND(y − RND(row sum))``,
+        the bits of the staged product + ``residual_update`` pair), else
+        scipy's compiled matvec on a copy of ``y``.  Otherwise it composes
+        the product and the residual update (the oracle order).
+        """
         mat_prec, vec_prec, compute, out_prec = spmv_setup(values.dtype, x.dtype,
                                                            out_precision)
-        cdtype = compute.dtype
+        cdtype = np.dtype(compute.dtype)
         n = indptr.size - 1
         nnz = values.size
-        k = x.shape[1]
-        fusable = (scratch is not None and _scipy_sparse is not None
-                   and _scipy_sparsetools is not None
-                   and np.dtype(cdtype) in _SCIPY_DTYPES
-                   and out_prec.dtype == np.dtype(cdtype)
-                   and y.dtype == np.dtype(cdtype)
-                   and indptr.dtype == indices.dtype)
-        if not fusable:
-            az = self.spmm_csr(values, indices, indptr, x,
-                               out_precision=out_precision, record=record,
-                               scratch=scratch, par=par)
-            return self.residual_update_batch(y, az, out_precision=out_precision,
-                                              record=record, scratch=scratch)
-        vals_c = scratch.cast("csr_values", values, cdtype)
-        neg_vals = scratch.memo(("csr_values_neg", np.dtype(cdtype)),
-                                lambda: -vals_c)
-        x_c = np.ascontiguousarray(x, dtype=cdtype)
-        r = y.astype(cdtype, order="C", copy=True)
-        nt = kernel_threads("spmm", nnz, par, rows=n) if par is not None else 1
-        if nt > 1:
-            par_kernels.csr_matvecs_slabs(x.shape[0], k, neg_vals, indices, r,
-                                          x_c, self._csr_slabs(par, indptr, nt))
+        kernel = "spmm" if batched else "spmv"
+        same = out_prec.dtype == cdtype and y.dtype == cdtype
+        product = (self._native_csr(values, indices, indptr, cdtype, scratch)
+                   if same else None)
+        nt = kernel_threads(kernel, nnz, par, rows=n) if par is not None else 1
+        if product is not None:
+            x_c = x if x.dtype == cdtype else x.astype(cdtype)
+            r = self._run_native_csr(product, x_c, y, par, indptr, nt)
         else:
-            _scipy_sparsetools.csr_matvecs(n, x.shape[0], k, indptr, indices,
-                                           neg_vals, x_c.ravel(), r.ravel())
+            sparsetools = (_scipy()[1] if same and scratch is not None
+                           and cdtype in _SCIPY_DTYPES
+                           and indptr.dtype == indices.dtype else None)
+            if sparsetools is None:
+                # compose; both halves use their own fast paths — including
+                # their partitioned variants
+                apply = self.spmm_csr if batched else self.spmv_csr
+                combine = (self.residual_update_batch if batched
+                           else self.residual_update)
+                az = apply(values, indices, indptr, x, out_precision=out_precision,
+                           record=record, scratch=scratch, par=par)
+                return combine(y, az, out_precision=out_precision, record=record,
+                               scratch=scratch)
+            # one pass: r starts as a copy of y and scipy's compiled matvec
+            # accumulates (−A)·x into it — no intermediate product vector
+            vals_c = scratch.cast("csr_values", values, cdtype)
+            neg_vals = scratch.memo(("csr_values_neg", cdtype), lambda: -vals_c)
+            x_c = np.ascontiguousarray(x, dtype=cdtype)
+            r = y.astype(cdtype, order="C", copy=True)
+            if batched:
+                k = x.shape[1]
+                if nt > 1:
+                    par_kernels.csr_matvecs_slabs(x.shape[0], k, neg_vals, indices,
+                                                  r, x_c,
+                                                  self._csr_slabs(par, indptr, nt))
+                else:
+                    sparsetools.csr_matvecs(n, x.shape[0], k, indptr, indices,
+                                            neg_vals, x_c.ravel(), r.ravel())
+            elif nt > 1:
+                # same compiled accumulation per row slab (r rows are disjoint)
+                par_kernels.csr_matvec_slabs(x.size, neg_vals, indices, r, x_c,
+                                             self._csr_slabs(par, indptr, nt))
+            else:
+                sparsetools.csr_matvec(n, x.size, indptr, indices, neg_vals,
+                                       x_c, r)
         if record and counters_enabled():
-            self._record_spmm(mat_prec, vec_prec, out_prec, compute, n, nnz,
-                              nnz * BYTES_PER_INDEX + (n + 1) * BYTES_PER_INDEX, k)
+            k = x.shape[1] if batched else 1
+            index_bytes = nnz * BYTES_PER_INDEX + (n + 1) * BYTES_PER_INDEX
+            if batched:
+                self._record_spmm(mat_prec, vec_prec, out_prec, compute, n, nnz,
+                                  index_bytes, k)
+            else:
+                self._record_spmv(mat_prec, vec_prec, out_prec, compute, n, nnz,
+                                  index_bytes)
             py = precision_of_dtype(y.dtype)
             self._record_axpy(out_prec, py, out_prec, promote(out_prec, py), n, k)
         return r
+
+    def spmv_axpy(self, values, indices, indptr, x, y, out_precision=None,
+                  record=True, scratch=None, par=None):
+        return self._csr_residual(values, indices, indptr, x, y, out_precision,
+                                  record, scratch, par, batched=False)
+
+    def spmm_axpy(self, values, indices, indptr, x, y, out_precision=None,
+                  record=True, scratch=None, par=None):
+        return self._csr_residual(values, indices, indptr, x, y, out_precision,
+                                  record, scratch, par, batched=True)
 
     # ------------------------------------------------------------------ #
     def ilu0_factor(self, matrix, alpha: float = 1.0, breakdown_shift: float = 1e-12):

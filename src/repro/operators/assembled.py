@@ -7,8 +7,8 @@ format each apply actually runs on:
 * an explicit ``format="csr"`` / ``format="ell"`` pins the choice;
 * ``format="auto"`` (default) asks the active backend for a preference
   (:meth:`~repro.backends.base.KernelBackend.preferred_assembled_format` —
-  the ``fast`` engine pins CSR for the dtypes scipy's compiled matvec
-  handles) and otherwise compares the Section 4.1 per-row traffic of the two
+  the ``fast`` engine pins CSR for fp32/fp64, which have a compiled CSR
+  product) and otherwise compares the Section 4.1 per-row traffic of the two
   layouts: CSR moves ``nnz/row`` values + column indices + a row-pointer
   word, sliced ELLPACK moves its *padded* entries — so ELL wins only when
   the chunk padding overhead stays below the row-pointer saving (near-uniform

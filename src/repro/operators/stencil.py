@@ -15,7 +15,7 @@ grid-shaped slabs in place.  Both sum each row's contributions in ascending
 column order — exactly the order the assembled CSR kernels use — so a
 stencil apply is *bit-identical* to the reference SpMV on the matrix
 :meth:`assemble` builds (the fast CSR path may differ in the last ulp where
-it uses scipy's fused matvec; the equivalence tests pin both).
+it uses the scipy-order compiled matvec; the equivalence tests pin both).
 
 Grid convention: ``dims`` is C-ordered (last axis fastest), matching
 ``numpy.ravel_multi_index``.  The generators in :mod:`repro.matgen.operators`

@@ -41,27 +41,6 @@ from .partition import (
     par_state,
     span_partition,
 )
-from .procpool import (
-    ExpiredRequest,
-    ProcPool,
-    WorkerDied,
-    WorkerError,
-    WorkerHung,
-    configured_procs,
-    resolve_procs,
-    set_procs,
-    use_procs,
-)
-from .shm import (
-    AttachedArrays,
-    ShmDescriptor,
-    ShmRegistry,
-    attach_arrays,
-    operator_from_payload,
-    operator_payload,
-    publish_arrays,
-    segment_exists,
-)
 from .pool import (
     active_consumers,
     configured_threads,
@@ -75,6 +54,30 @@ from .pool import (
     set_threads,
     use_threads,
 )
+
+#: the process tier's exports, resolved on first access (PEP 562) so that
+#: kernels and direct solves never import multiprocessing or shared memory
+_LAZY = {
+    **dict.fromkeys(("ExpiredRequest", "ProcPool", "WorkerDied", "WorkerError",
+                     "WorkerHung", "configured_procs", "resolve_procs",
+                     "set_procs", "use_procs"), "procpool"),
+    **dict.fromkeys(("AttachedArrays", "ShmDescriptor", "ShmRegistry",
+                     "attach_arrays", "operator_from_payload",
+                     "operator_payload", "publish_arrays", "segment_exists"),
+                    "shm"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "MIN_WORK_PER_THREAD",

@@ -38,16 +38,12 @@ import numpy as np
 from ..backends.workspace import ThreadLocalWorkspace, Workspace
 from .pool import run_tasks
 
-try:  # pragma: no cover - scipy ships with the test environment
-    from scipy.sparse import _sparsetools as _scipy_sparsetools
-except ImportError:  # pragma: no cover
-    _scipy_sparsetools = None
-
 __all__ = [
     "slab_workspace",
     "run_spans",
     "spmv_csr_slabs",
     "spmm_csr_slabs",
+    "native_csr_slabs",
     "csr_matvec_slabs",
     "csr_matvecs_slabs",
     "spmv_ell_slabs",
@@ -146,17 +142,29 @@ def spmm_csr_slabs(vals_c, indices, x_c, y, slabs, staged=False,
     return y
 
 
+def native_csr_slabs(product, x, y0, y, slabs) -> np.ndarray:
+    """Partitioned compiled CSR product or fused residual: one
+    :class:`~repro.backends.native.CSRProduct` call per row slab into the
+    slab's rows of ``y`` (the kernel releases the GIL, so slabs run in
+    parallel); ``x``/``y0``/``y`` come from ``product.operands``."""
+    run_tasks([(lambda r0=s[0], r1=s[1]: product.rows(r0, r1, x, y0, y))
+               for s in slabs])
+    return y
+
+
 def csr_matvec_slabs(ncols, vals, indices, y, x_c, slabs) -> np.ndarray:
-    """Partitioned scipy compiled CSR matvec, accumulating into ``y`` rows.
+    """Partitioned scipy compiled CSR matvec, accumulating into ``y`` rows
+    (the fallback of :func:`native_csr_slabs`).
 
     Matches the serial ``csr_matvec`` semantics (``y[i] += row · x``) per
     row; callers pre-fill ``y`` (zeros for a plain product, a copy of the
     combine operand for the fused residual).
     """
+    from scipy.sparse import _sparsetools
 
     def task(r0, r1, s0, s1, local):
-        _scipy_sparsetools.csr_matvec(r1 - r0, ncols, local, indices[s0:s1],
-                                      vals[s0:s1], x_c, y[r0:r1])
+        _sparsetools.csr_matvec(r1 - r0, ncols, local, indices[s0:s1],
+                                vals[s0:s1], x_c, y[r0:r1])
 
     run_tasks([(lambda s=s: task(*s)) for s in slabs])
     return y
@@ -164,12 +172,14 @@ def csr_matvec_slabs(ncols, vals, indices, y, x_c, slabs) -> np.ndarray:
 
 def csr_matvecs_slabs(ncols, k, vals, indices, y, x_c, slabs) -> np.ndarray:
     """Partitioned scipy compiled CSR SpMM accumulation (C-ordered ``y``)."""
+    from scipy.sparse import _sparsetools
+
     x_flat = x_c.ravel()
 
     def task(r0, r1, s0, s1, local):
-        _scipy_sparsetools.csr_matvecs(r1 - r0, ncols, k, local,
-                                       indices[s0:s1], vals[s0:s1], x_flat,
-                                       y[r0:r1].ravel())
+        _sparsetools.csr_matvecs(r1 - r0, ncols, k, local,
+                                 indices[s0:s1], vals[s0:s1], x_flat,
+                                 y[r0:r1].ravel())
 
     run_tasks([(lambda s=s: task(*s)) for s in slabs])
     return y

@@ -318,7 +318,7 @@ class ClusterGateway:
             if target == "local":
                 dispatcher = BatchDispatcher(
                     self.config, preconditioner=preconditioner,
-                    nblocks=nblocks, alpha=alpha, max_batch=1 << 30,
+                    nblocks=nblocks, alpha=alpha, max_batch=cluster.max_batch,
                     cache_size=cache_size, max_workers=max_workers,
                     backend=backend, overload=False)
                 self._members[name] = _LocalMember(name, dispatcher)

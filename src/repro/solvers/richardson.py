@@ -205,6 +205,7 @@ class RichardsonLevel(InnerSolver):
         cntr_end = self.call_count + k
         refresh = self.adaptive and (self.call_count // self.cycle) != (cntr_end // self.cycle)
         plan, plan_wp = self._level_plans()
+        backend = get_backend()
 
         v_level = vo.cast_block(v, vec_prec)
         z = np.zeros(v_level.shape, dtype=vec_prec.dtype)
@@ -241,12 +242,12 @@ class RichardsonLevel(InnerSolver):
                     record_flops(wp, 4 * k * amr.shape[0])
                 omega = np.where(denom > 0.0, numer / np.where(denom > 0.0, denom, 1.0),
                                  self.weights[step])
-                z = self._batched_weighted_update(omega, mr, z, vec_prec)
+                z = backend.weighted_update_batch(z, mr, omega, vec_prec)
                 l = cntr_end // self.cycle
                 self.weights[step] = (l * self.weights[step] + float(omega.mean())) / (l + 1)
             else:
-                z = self._batched_weighted_update(
-                    np.full(k, self.weights[step]), mr, z, vec_prec)
+                z = backend.weighted_update_batch(
+                    z, mr, np.full(k, self.weights[step]), vec_prec)
 
         if refresh:
             self.update_count += 1
@@ -270,18 +271,6 @@ class RichardsonLevel(InnerSolver):
             record_bytes(py, k * n * py.bytes)
             record_bytes(out, k * n * out.bytes)
             record_flops(compute, 2 * k * n)
-        return result
-
-    def _batched_weighted_update(self, omega: np.ndarray, mr: np.ndarray,
-                                 z: np.ndarray, vec_prec: Precision) -> np.ndarray:
-        """``z + omega_j * mr_j`` per column, arithmetic in the level dtype."""
-        dtype = vec_prec.dtype
-        result = (omega.astype(dtype)[None, :] * mr + z).astype(dtype, copy=False)
-        if counters_enabled():
-            k, n = mr.shape[1], mr.shape[0]
-            record_kernel("axpy", k)
-            record_bytes(vec_prec, 3 * k * n * vec_prec.bytes)
-            record_flops(vec_prec, 2 * k * n)
         return result
 
 

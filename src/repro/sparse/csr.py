@@ -365,19 +365,29 @@ class CSRMatrix(ScratchOwner):
     def is_symmetric(self, tol: float = 1e-12) -> bool:
         """Check structural+numerical symmetry (within ``tol``) via A - A^T.
 
-        Uses a transient scipy transpose rather than :meth:`transpose` so a
-        one-off symmetry check doesn't pin a cached A^T for the matrix's
-        lifetime.
+        The entries of A and of -A^T are coalesced by (row, col) in NumPy —
+        no transpose is cached and scipy is not imported — and the matrix
+        is symmetric when every coalesced entry is zero or, otherwise, when
+        ``max|A - A^T| <= tol * max(1, max|A|)``.
         """
         if self.nrows != self.ncols:
             return False
-        a_sp = self.to_scipy()
-        at_sp = a_sp.transpose().tocsr()
-        diff = (a_sp - at_sp).tocoo()
-        if diff.nnz == 0:
+        if not self.nnz:
             return True
-        scale = max(1.0, float(np.max(np.abs(self.values.astype(np.float64)))))
-        return bool(np.max(np.abs(diff.data)) <= tol * scale)
+        n = self.nrows
+        values = self.values.astype(np.float64)
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        cols = self.indices.astype(np.int64)
+        keys = np.concatenate([rows * n + cols, cols * n + rows])
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        terms = np.concatenate([values, -values])[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        diff = np.abs(np.add.reduceat(terms, starts))
+        if not np.any(diff != 0.0):
+            return True
+        scale = max(1.0, float(np.max(np.abs(values))))
+        return bool(np.max(diff) <= tol * scale)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CSRMatrix(shape={self.shape}, nnz={self.nnz}, "

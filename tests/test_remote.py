@@ -756,6 +756,23 @@ class TestClusterGateway:
         assert cl["failovers"] >= 1
         assert victim in cl["dead_members"]
 
+    def test_local_member_batches_no_wider_than_cluster_max_batch(self):
+        """The local member's dispatcher batches under the cluster's
+        ``max_batch``: single-RHS batches that reach it together (say, a
+        failover burst) stay separate solves instead of merging into one
+        wider ``solve_batch`` with different bits."""
+        A = _operator()
+        cluster = ClusterConfig(members=(("solo", "local"),), max_batch=1)
+        with ClusterGateway(config=_config(), cluster=cluster,
+                            max_workers=1) as gateway:
+            local = gateway._members["solo"]._dispatcher
+            assert local.max_batch == cluster.max_batch
+            futures = [gateway.submit(A, _rhs(A, i)) for i in range(6)]
+            gateway.flush()
+            assert all(f.result(timeout=120).converged for f in futures)
+            assert local.stats.batched_requests == 6
+            assert local.stats.largest_batch <= cluster.max_batch
+
     def test_no_healthy_members_fails_typed(self):
         A = _operator()
         dead_port = _reserved_dead_port()

@@ -126,6 +126,65 @@ class TestSymmetryCheck:
         csr = CSRMatrix.from_dense(np.ones((2, 3)))
         assert not csr.is_symmetric()
 
+    @staticmethod
+    def _scipy_rule(csr, tol):
+        """The scipy formulation: ``A - A^T`` (explicit zeros dropped), then
+        ``max|A - A^T| <= tol * max(1, max|A|)``."""
+        if csr.nrows != csr.ncols:
+            return False
+        a = csr.to_scipy()
+        diff = (a - a.transpose().tocsr()).tocoo()
+        if diff.nnz == 0:
+            return True
+        scale = max(1.0, float(np.max(np.abs(csr.values.astype(np.float64)))))
+        return bool(np.max(np.abs(diff.data)) <= tol * scale)
+
+    def _cases(self):
+        rng = np.random.default_rng(21)
+        for trial in range(120):
+            n = int(rng.integers(1, 9))
+            dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
+            if trial % 2:
+                dense = dense + dense.T
+                if trial % 3 == 0 and n > 1:
+                    dense[0, n - 1] += 1e-11        # near-symmetric
+            yield CSRMatrix.from_dense(dense), f"random-{trial}"
+        # stored zeros facing absent entries, and a stored zero facing a
+        # nonzero
+        yield CSRMatrix(np.array([1.0, 0.0, 2.0]), np.array([0, 1, 1], dtype=np.int32),
+                        np.array([0, 2, 3], dtype=np.int32), (2, 2)), "explicit-zero"
+        yield CSRMatrix(np.array([1.0, 0.0, 3.0, 2.0]),
+                        np.array([0, 1, 0, 1], dtype=np.int32),
+                        np.array([0, 2, 4], dtype=np.int32), (2, 2)), "zero-vs-nonzero"
+        yield CSRMatrix(np.zeros(0), np.zeros(0, dtype=np.int32),
+                        np.zeros(1, dtype=np.int32), (0, 0)), "empty"
+        yield CSRMatrix(np.zeros(0), np.zeros(0, dtype=np.int32),
+                        np.zeros(4, dtype=np.int32), (3, 3)), "no-entries"
+
+    def test_matches_scipy_formulation(self, spd_matrix, nonsym_matrix):
+        cases = [*self._cases(), (spd_matrix, "spd"), (nonsym_matrix, "nonsym"),
+                 (spd_matrix.astype(Precision.FP16), "spd-fp16")]
+        for csr, label in cases:
+            for tol in (0.0, 1e-13, 1e-12, 1e-10):
+                assert csr.is_symmetric(tol) == self._scipy_rule(csr, tol), \
+                    (label, tol)
+
+    def test_imports_no_scipy(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = ("import sys; from repro.matgen import hpcg_matrix; "
+                "assert hpcg_matrix(4).is_symmetric(); "
+                "print(any(m.startswith('scipy') for m in sys.modules))")
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
 
 class TestMatvec:
     def test_matches_dense_fp64(self, dd_matrix, rng):
